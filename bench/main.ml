@@ -32,8 +32,10 @@ let model_2 () =
   if !full_scale then Industrial.generate Industrial.model_2
   else scaled_model_2 ()
 
-let bdd_options =
-  { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
+(* Pinned rather than inherited, so a change of the default engine cannot
+   move the tables. *)
+let zdd_options =
+  { Sdft_analysis.default_options with engine = Sdft_analysis.Zdd_engine }
 
 (* ------------------------------------------------------------------ *)
 (* E1: the running example (Section II, Examples 1-8). *)
@@ -139,15 +141,14 @@ let e3_models () =
       ]
   in
   let m1 = model_1 () and m2 = model_2 () in
-  run "model 1" m1 Sdft_analysis.Bdd_engine "BDD/ZDD";
-  run "model 1" m1 Sdft_analysis.Mocus_aggressive "MOCUS (gate bounds)";
-  if not !full_scale then run "model 1" m1 Sdft_analysis.Mocus_sound "MOCUS (sound)";
-  run "model 2" m2 Sdft_analysis.Bdd_engine "BDD/ZDD";
-  run "model 2" m2 Sdft_analysis.Mocus_aggressive "MOCUS (gate bounds)";
+  run "model 1" m1 Sdft_analysis.Zdd_engine "ZDD";
+  if not !full_scale then run "model 1" m1 Sdft_analysis.Mocus_sound "MOCUS";
+  run "model 2" m2 Sdft_analysis.Zdd_engine "ZDD";
   Table.print t;
   print_endline
-    "(the sound basics-only MOCUS reproduces the hours-scale generation times\n\
-    \ the paper reports for the commercial solver; it is skipped at full scale)"
+    "(MOCUS with the paper's basics-only cutoff reproduces the hours-scale\n\
+    \ generation times the paper reports for the commercial solver; it is\n\
+    \ skipped at full scale)"
 
 (* ------------------------------------------------------------------ *)
 (* E4 + E5: dynamization sweep on model 1 (Section VI-B sweep table) and
@@ -163,7 +164,7 @@ let e4_sweep_and_histograms ~histograms () =
       ~columns:[ "% dyn. BE"; "% trigg. BE"; "failure freq."; "# MCS"; "dyn. MCS"; "time" ]
   in
   let static_rea, n_static =
-    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Bdd_engine tree
+    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Zdd_engine tree
   in
   Table.add_row t
     [ "0"; "0"; Table.cell_sci static_rea; string_of_int n_static; "0"; "-" ];
@@ -181,7 +182,7 @@ let e4_sweep_and_histograms ~histograms () =
         in
         let d = Dynamize.run ~config tree in
         let result, seconds =
-          Timer.time (fun () -> Sdft_analysis.analyze ~options:bdd_options d.Dynamize.sd)
+          Timer.time (fun () -> Sdft_analysis.analyze ~options:zdd_options d.Dynamize.sd)
         in
         Table.add_row t
           [
@@ -295,7 +296,7 @@ let e7_phases () =
           let d = Dynamize.run ~config tree in
           let result, seconds =
             Timer.time (fun () ->
-                Sdft_analysis.analyze ~options:bdd_options d.Dynamize.sd)
+                Sdft_analysis.analyze ~options:zdd_options d.Dynamize.sd)
           in
           Printf.sprintf "%d | %s" result.Sdft_analysis.n_dynamic_cutsets
             (Table.cell_duration seconds))
@@ -327,7 +328,7 @@ let e8_horizon () =
       ~columns:[ "horizon"; "failure freq."; "analysis time"; "cache h/m" ]
   in
   let option_sets =
-    List.map (fun horizon -> { bdd_options with horizon }) [ 24.0; 48.0; 72.0; 96.0 ]
+    List.map (fun horizon -> { zdd_options with horizon }) [ 24.0; 48.0; 72.0; 96.0 ]
   in
   let points, _cache = Sdft_analysis.sweep d.Dynamize.sd option_sets in
   List.iter
@@ -402,9 +403,8 @@ let micro_tests () =
       (Staged.stage (fun () -> Mocus.minimal_cutsets pumps_tree));
     Test.make ~name:"e2/analyze-pumps"
       (Staged.stage (fun () -> Sdft_analysis.analyze pumps_sd));
-    Test.make ~name:"e3/bdd-cutsets-small-industrial"
-      (Staged.stage (fun () ->
-           Minsol.fault_tree_cutsets_above small_tree ~cutoff:1e-15));
+    Test.make ~name:"e3/zdd-cutsets-small-industrial"
+      (Staged.stage (fun () -> Zdd_engine.run ~cutoff:1e-15 small_tree));
     Test.make ~name:"e4/translate-pumps"
       (Staged.stage (fun () -> Sdft_translate.translate pumps_sd ~horizon:24.0));
     Test.make ~name:"e6/quantify-cutset-bd"
@@ -450,7 +450,7 @@ let a1_cutoff () =
     (fun cutoff ->
       let result, seconds =
         Timer.time (fun () ->
-            Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Bdd_engine tree)
+            Sdft_analysis.generate_cutsets ~cutoff Sdft_analysis.Zdd_engine tree)
       in
       let relevant =
         List.filter
@@ -741,7 +741,7 @@ let quantify_new ~workspace sd_c ~horizon =
 let cutset_models sd =
   let translation = Sdft_translate.translate sd ~horizon:24.0 in
   let generated =
-    Sdft_analysis.generate_cutsets ~cutoff:1e-15 Sdft_analysis.Bdd_engine
+    Sdft_analysis.generate_cutsets ~cutoff:1e-15 Sdft_analysis.Zdd_engine
       translation.Sdft_translate.static_tree
   in
   let context = Cutset_model.context sd in
@@ -1139,12 +1139,12 @@ let bench_cache ~json_path () =
   in
   let entries = ref [] in
   let case name sd =
-    (* BDD generation: the sweep re-generates cutsets at every point and
+    (* ZDD generation: the sweep re-generates cutsets at every point and
        generation is not what this benchmark measures — only the
        quantification phase is cached and timed. *)
     let horizons = [ 12.0; 24.0; 48.0; 72.0 ] in
     let option_sets =
-      List.map (fun horizon -> { bdd_options with horizon }) horizons
+      List.map (fun horizon -> { zdd_options with horizon }) horizons
     in
     let path = Filename.temp_file "sdft_cache_bench" ".store" in
     Sys.remove path;

@@ -195,18 +195,16 @@ let report_disk_cache cache =
 
 let engine_arg =
   Arg.(value
-       & opt (enum [ ("mocus", Sdft_analysis.Mocus_sound);
-                     ("mocus-aggressive", Sdft_analysis.Mocus_aggressive);
-                     ("bdd", Sdft_analysis.Bdd_engine);
-                     ("zdd", Sdft_analysis.Zdd_engine);
-                     ("auto", Sdft_analysis.Auto) ])
-           Sdft_analysis.Mocus_sound
+       & opt
+           (enum
+              (List.map
+                 (fun e -> (Sdft_analysis.engine_name e, e))
+                 Sdft_analysis.engines))
+           Sdft_analysis.default_options.Sdft_analysis.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Cutset engine: $(b,mocus), $(b,mocus-aggressive), $(b,bdd), \
-                 $(b,zdd) (modular ZDD weighted counting, exact residual-mass \
-                 accounting), or $(b,auto) (picks $(b,zdd) for static models \
-                 whose modules are narrow enough, $(b,mocus) for translated \
-                 trigger logic or very wide modules).")
+           ~doc:"Cutset engine: $(b,zdd) (modular ZDD weighted counting, \
+                 exact residual-mass accounting) or $(b,mocus) (the paper's \
+                 algorithm; its pruned mass is an upper bound).")
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"N" ~doc:"Worker domains for cutset quantification.")
@@ -564,30 +562,29 @@ let mcs_cmd =
         let guard = guard_of_resource ctx res in
         let translation = Sdft_translate.translate sd ~horizon in
         let tree = translation.Sdft_translate.static_tree in
-        let resolved = Sdft_analysis.resolve_engine engine tree in
         Sdft_util.Obs.begin_phase ctx "generation" ();
         let generation =
-          Sdft_analysis.generate_cutsets ~cutoff ~guard ~obs:ctx resolved tree
+          Sdft_analysis.generate_cutsets ~cutoff ~guard ~obs:ctx engine tree
         in
         (match generation.Mocus.limit_hit with
         | Some r when generation.Mocus.truncated && generation.Mocus.cutsets = []
           ->
-          (* Unlike MOCUS, an interrupted BDD/ZDD compilation has no sound
+          (* Unlike MOCUS, an interrupted ZDD compilation has no sound
              partial cutset list to print. *)
           Printf.eprintf
             "sdft: %s cutset generation hit the %s; rerun with a larger \
              budget or --engine mocus\n"
-            (Sdft_analysis.engine_name resolved)
+            (Sdft_analysis.engine_name engine)
             (Sdft_util.Guard.reason_to_string r);
           raise (Exit_code 1)
         | _ -> warn_generation_limit res generation);
         let cutsets = generation.Mocus.cutsets in
         Printf.printf "%d minimal cutsets (engine: %s)\n" (List.length cutsets)
-          (Sdft_analysis.engine_name resolved);
+          (Sdft_analysis.engine_name engine);
         if generation.Mocus.pruned_mass > 0.0 then
           Printf.printf "mass below cutoff/order bounds: %.3e%s\n"
             generation.Mocus.pruned_mass
-            (if resolved = Sdft_analysis.Zdd_engine then " (exact)"
+            (if engine = Sdft_analysis.Zdd_engine then " (exact)"
              else " (upper bound)");
         List.iter
           (fun c ->
@@ -1332,7 +1329,7 @@ let client_cmd =
   let engine =
     Arg.(value & opt (some string) None
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Cutset engine: mocus, mocus-aggressive, bdd, zdd or auto.")
+             ~doc:"Cutset engine: zdd or mocus (omitted: the server default).")
   in
   let domains =
     Arg.(value & opt (some int) None

@@ -32,9 +32,7 @@ let () =
       ~columns:
         [ "% dyn. BE"; "% trigg. BE"; "failure freq."; "MCS"; "dyn. MCS"; "time" ]
   in
-  let static_rea, n_static =
-    Sdft_analysis.static_rare_event ~engine:Sdft_analysis.Bdd_engine tree
-  in
+  let static_rea, n_static = Sdft_analysis.static_rare_event tree in
   Sdft_util.Table.add_row table
     [ "0"; "0"; Sdft_util.Table.cell_sci static_rea; string_of_int n_static; "0"; "-" ];
   (* One quantification cache across the whole sweep: industrial models
@@ -54,12 +52,9 @@ let () =
         }
       in
       let d = Dynamize.run ~config tree in
-      let options =
-        { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
-      in
       let result, seconds =
         Sdft_util.Timer.time (fun () ->
-            Sdft_analysis.analyze ~options ~cache d.Dynamize.sd)
+            Sdft_analysis.analyze ~cache d.Dynamize.sd)
       in
       Sdft_util.Table.add_row table
         [
@@ -89,12 +84,7 @@ let () =
     let horizons = [ 8.0; 24.0; 72.0 ] in
     let option_sets =
       List.map
-        (fun horizon ->
-          {
-            Sdft_analysis.default_options with
-            engine = Sdft_analysis.Bdd_engine;
-            horizon;
-          })
+        (fun horizon -> { Sdft_analysis.default_options with horizon })
         horizons
     in
     let points, sweep_cache = Sdft_analysis.sweep sd option_sets in

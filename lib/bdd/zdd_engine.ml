@@ -51,60 +51,6 @@ let default_handles = handles_in Metrics.default
 let handles_of m =
   if m == Metrics.default then default_handles else handles_in m
 
-type module_stats = {
-  ms_gate : int;
-  ms_basics : int;
-  ms_gates : int;
-  ms_and : int;
-  ms_or : int;
-  ms_atleast : int;
-  ms_inner_modules : int;
-}
-
-(* Stats of each module's *cut* subtree: the DFS stops at nested module
-   gates (counted as leaves), because that is exactly the shape of the BDD
-   the engine will compile for the module — the numbers the auto-selector
-   needs. *)
-let module_stats tree =
-  let ng = Fault_tree.n_gates tree in
-  let is_mod = Array.make ng false in
-  let mods = Modules.find tree in
-  List.iter (fun g -> is_mod.(g) <- true) mods;
-  List.map
-    (fun g ->
-      let basics = ref Int_set.empty in
-      let gates = ref 0
-      and n_and = ref 0
-      and n_or = ref 0
-      and n_atleast = ref 0
-      and inner = ref 0 in
-      let seen_gate = Hashtbl.create 16 in
-      let rec visit = function
-        | Fault_tree.B b -> basics := Int_set.add b !basics
-        | Fault_tree.G h ->
-          if h <> g && is_mod.(h) then incr inner
-          else if not (Hashtbl.mem seen_gate h) then begin
-            Hashtbl.add seen_gate h ();
-            incr gates;
-            (match Fault_tree.gate_kind tree h with
-            | Fault_tree.And -> incr n_and
-            | Fault_tree.Or -> incr n_or
-            | Fault_tree.Atleast _ -> incr n_atleast);
-            Array.iter visit (Fault_tree.gate_inputs tree h)
-          end
-      in
-      visit (Fault_tree.G g);
-      {
-        ms_gate = g;
-        ms_basics = Int_set.cardinal !basics;
-        ms_gates = !gates;
-        ms_and = !n_and;
-        ms_or = !n_or;
-        ms_atleast = !n_atleast;
-        ms_inner_modules = !inner;
-      })
-    mods
-
 type result = {
   cutsets : Int_set.t list;
   total_mass : float;

@@ -20,24 +20,6 @@
     caches are dropped ({!Zdd.clear_caches}) as soon as the module is
     quantified. *)
 
-type module_stats = {
-  ms_gate : int;  (** the module's root gate *)
-  ms_basics : int;  (** distinct basic events in the cut subtree *)
-  ms_gates : int;  (** gates in the cut subtree *)
-  ms_and : int;
-  ms_or : int;
-  ms_atleast : int;
-  ms_inner_modules : int;
-      (** nested module gates, which the engine treats as single
-          pseudo-variables — [ms_basics + ms_inner_modules] is the
-          variable count of the BDD compiled for this module *)
-}
-
-val module_stats : Fault_tree.t -> module_stats list
-(** Structural statistics of every module's {e cut} subtree (the DFS stops
-    at nested module gates), one entry per gate of {!Modules.find} — the
-    inputs of the engine auto-selection heuristic. *)
-
 type result = {
   cutsets : Sdft_util.Int_set.t list;
       (** minimal cutsets with probability product [>= cutoff] and

@@ -65,8 +65,9 @@ type result = {
   n_cutsets : int;
 }
 
-let analyze ?(cutoff = 1e-15) ?(engine = Sdft_analysis.Mocus_sound) ?guard
-    ?obs sd =
+let analyze ?(cutoff = 1e-15)
+    ?(engine = Sdft_analysis.default_options.Sdft_analysis.engine) ?guard ?obs
+    sd =
   let tree = Sdft.tree sd in
   let nb = Fault_tree.n_basics tree in
   let rec per_event b acc =

@@ -30,4 +30,5 @@ val analyze :
     {!event_unavailability}. [None] if some dynamic event has no steady
     state (not repairable). [guard] bounds the cutset generation (see
     {!Sdft_analysis.generate_cutsets}); an interrupted MOCUS run sums the
-    cutsets found before the limit. *)
+    cutsets found before the limit, an interrupted ZDD run finds none.
+    [engine] defaults to [Sdft_analysis.default_options.engine]. *)

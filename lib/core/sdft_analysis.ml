@@ -33,10 +33,7 @@ let handles_of m =
 
 type engine =
   | Mocus_sound
-  | Mocus_aggressive
-  | Bdd_engine
   | Zdd_engine
-  | Auto
 
 type options = {
   horizon : float;
@@ -58,107 +55,37 @@ let default_options =
     transient_epsilon = 1e-12;
     max_product_states = 1_000_000;
     max_cutset_order = None;
-    engine = Mocus_sound;
+    engine = Zdd_engine;
     domains = 1;
     rel_rule = Cutset_model.Paper;
     deadline = None;
     mem_limit_mb = None;
   }
 
-let engine_name = function
-  | Mocus_sound -> "mocus"
-  | Mocus_aggressive -> "mocus-aggressive"
-  | Bdd_engine -> "bdd"
-  | Zdd_engine -> "zdd"
-  | Auto -> "auto"
+let engines = [ Mocus_sound; Zdd_engine ]
 
-(* The translation names the AND gates it synthesizes for trigger edges
-   "<basic>@trig"; their presence is the structural footprint of dynamic
-   triggering logic in an otherwise static tree. *)
-let translated_trigger_gate name =
-  let n = String.length name in
-  n >= 5 && String.sub name (n - 5) 5 = "@trig"
-
-(* Auto-selection threshold on a module's effective variable width. BDD
-   sizes are exponential in the worst case in the number of variables of one
-   module (nested modules collapse to single pseudo-variables, so only the
-   module's own cut width counts); atleast gates additionally multiply the
-   diagram's width by their threshold, so they weigh in. Below the bound the
-   ZDD engine's exact residual accounting wins; above it MOCUS's anytime
-   behaviour (a sound partial list with bounded pruned mass) is the safer
-   default. The bound is deliberately generous — realistic tree-shaped
-   structure functions compile fine at this width (the industrial benchmark
-   tops out at 86), and a pathological case still degrades soundly through
-   the resource guard rather than hanging. *)
-let zdd_max_module_width = 128
-
-let resolve_engine engine tree =
-  match engine with
-  | Mocus_sound | Mocus_aggressive | Bdd_engine | Zdd_engine -> engine
-  | Auto ->
-    let triggered = ref false in
-    for g = 0 to Fault_tree.n_gates tree - 1 do
-      if translated_trigger_gate (Fault_tree.gate_name tree g) then
-        triggered := true
-    done;
-    (* Triggered sub-models need the translation-aware MOCUS pipeline: the
-       ZDD path would treat the @trig conjunctions as ordinary static logic
-       and lose the conservative-cutoff reasoning built around them. *)
-    if !triggered then Mocus_sound
-    else if
-      List.exists
-        (fun s ->
-          s.Zdd_engine.ms_basics + s.Zdd_engine.ms_inner_modules
-          + (4 * s.Zdd_engine.ms_atleast)
-          > zdd_max_module_width)
-        (Zdd_engine.module_stats tree)
-    then Mocus_sound
-    else Zdd_engine
+let engine_name = function Mocus_sound -> "mocus" | Zdd_engine -> "zdd"
 
 let generate_cutsets ?(cutoff = 1e-15) ?(max_order = None)
     ?(guard = Sdft_util.Guard.none) ?(obs = Obs.default) engine tree =
-  let empty_on limit =
-    (* Unlike MOCUS there is no sound partial cutset list to salvage from
-       an interrupted BDD/ZDD compilation, and no mass bound for what is
-       missing: return an empty truncated (hence vacuous) result. *)
-    {
-      Mocus.cutsets = [];
-      generated = 0;
-      pruned_by_cutoff = 0;
-      pruned_mass = 0.0;
-      truncated = true;
-      limit_hit = Some limit;
-    }
-  in
-  match resolve_engine engine tree with
-  | Auto -> assert false (* resolve_engine never returns Auto *)
-  | (Mocus_sound | Mocus_aggressive) as engine ->
-    let options =
+  match engine with
+  | Mocus_sound ->
+    let options = { Mocus.default_options with cutoff; max_order } in
+    Mocus.run ~options ~guard ~obs tree
+  | Zdd_engine -> (
+    let empty_on limit =
+      (* Unlike MOCUS there is no sound partial cutset list to salvage from
+         an interrupted ZDD compilation, and no mass bound for what is
+         missing: return an empty truncated (hence vacuous) result. *)
       {
-        Mocus.default_options with
-        cutoff;
-        max_order;
-        gate_bound_pruning = (engine = Mocus_aggressive);
+        Mocus.cutsets = [];
+        generated = 0;
+        pruned_by_cutoff = 0;
+        pruned_mass = 0.0;
+        truncated = true;
+        limit_hit = Some limit;
       }
     in
-    Mocus.run ~options ~guard ~obs tree
-  | Bdd_engine -> (
-    match Minsol.fault_tree_cutsets_above ?max_order ~guard tree ~cutoff with
-    | cutsets ->
-      {
-        Mocus.cutsets;
-        generated = List.length cutsets;
-        pruned_by_cutoff = 0;
-        (* The BDD enumeration drops every cutset below the cutoff without
-           counting it, so no mass bound is available here; the error budget
-           marks BDD-engine intervals with a nonzero cutoff as vacuous. *)
-        pruned_mass = 0.0;
-        truncated = false;
-        limit_hit = None;
-      }
-    | exception Sdft_util.Guard.Limit_hit r -> empty_on r
-    | exception Out_of_memory -> empty_on Sdft_util.Guard.Mem_limit)
-  | Zdd_engine -> (
     match Zdd_engine.run ~cutoff ?max_order ~guard ~obs tree with
     | r ->
       let emitted = List.length r.Zdd_engine.cutsets in
@@ -250,11 +177,10 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
       Sdft_util.Guard.create ?deadline ?mem_limit_mb ?on_probe ()
   in
   Obs.begin_phase obs "generation" ();
-  (* Phase 1: translation and cutset generation. [Auto] is resolved against
-     the translated tree (trigger gates only exist post-translation) and the
-     concrete choice is recorded as provenance on the result and on every
-     cutset record. *)
-  let (translation, engine_used, mocus_result), mcs_generation_seconds =
+  (* Phase 1: translation and cutset generation; the engine is recorded as
+     provenance on the result and on every cutset record. *)
+  let engine_used = options.engine in
+  let (translation, mocus_result), mcs_generation_seconds =
     Sdft_util.Timer.time (fun () ->
         Metrics.time h.m_mcs_span (fun () ->
             Trace.with_span ~sink "analysis.mcs_generation" (fun () ->
@@ -262,13 +188,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
               Sdft_translate.translate ~epsilon:options.transient_epsilon ~obs
                 sd ~horizon:options.horizon
             in
-            let engine_used =
-              resolve_engine options.engine translation.static_tree
-            in
             Trace.add_attr ~sink "engine"
               (Trace.Str (engine_name engine_used));
             ( translation,
-              engine_used,
               generate_cutsets ~cutoff:options.cutoff
                 ~max_order:options.max_cutset_order ~guard ~obs engine_used
                 translation.static_tree ))))
@@ -537,14 +459,9 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
         else Float.max acc (info.probability -. info.solver_error))
       0.0 infos
   in
-  let vacuous =
-    (* The ZDD engine is deliberately absent here: its [pruned_mass] is the
-       exact residual of the weighted count, so a nonzero cutoff or order
-       bound still yields a fully accounted interval. *)
-    mocus_result.Mocus.truncated
-    || (engine_used = Bdd_engine
-        && (options.cutoff > 0.0 || options.max_cutset_order <> None))
-  in
+  (* Both engines account for everything the cutoff and order bounds drop
+     ([pruned_mass]); only a truncated generation leaves mass unaccounted. *)
+  let vacuous = mocus_result.Mocus.truncated in
   let upper =
     if vacuous then Float.max 1.0 total
     else
@@ -601,7 +518,8 @@ let analyze ?(options = default_options) ?cache ?(obs = Obs.default) sd =
     translation;
   })
 
-let static_rare_event ?(cutoff = 1e-15) ?(engine = Mocus_sound) tree =
+let static_rare_event ?(cutoff = 1e-15) ?(engine = default_options.engine)
+    tree =
   let result = generate_cutsets ~cutoff engine tree in
   let relevant =
     List.filter
@@ -825,12 +743,10 @@ let pp_budget ppf r =
     b.pruned_mass
     (match r.engine_used with
     | Zdd_engine -> "  (exact)"
-    | Mocus_sound | Mocus_aggressive -> "  (upper bound)"
-    | Bdd_engine | Auto -> "")
+    | Mocus_sound -> "  (upper bound)")
     b.below_cutoff_mass b.solver_error_total b.rare_event_slack
     b.lower b.upper
-    (if b.vacuous then "  VACUOUS (truncated generation or uncounted pruning)"
-     else "")
+    (if b.vacuous then "  VACUOUS (truncated generation)" else "")
 
 type sim_check = {
   sim_lower : float;

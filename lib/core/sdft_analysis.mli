@@ -2,10 +2,12 @@
 
     Phase 1 translates the SD fault tree into a static one with identical
     minimal cutsets and generates all minimal cutsets above the cutoff with
-    MOCUS (the translation's worst-case probabilities make this cutoff
-    conservative). Phase 2 quantifies each cutset: a purely static cutset
-    contributes its probability product; a cutset with dynamic events gets a
-    small model [FT_C] whose product CTMC is solved by transient analysis.
+    a static cutset engine — the modular ZDD engine by default, or the
+    paper's MOCUS (the translation's worst-case probabilities make the
+    cutoff conservative for both). Phase 2 quantifies each cutset: a purely
+    static cutset contributes its probability product; a cutset with
+    dynamic events gets a small model [FT_C] whose product CTMC is solved
+    by transient analysis.
     The rare-event approximation sums all contributions above the cutoff.
 
     The per-cutset statistics collected here (number of dynamic events in
@@ -15,30 +17,20 @@
 
 type engine =
   | Mocus_sound
-      (** MOCUS with the paper's basics-only cutoff — never loses a cutset
-          above the cutoff *)
-  | Mocus_aggressive
-      (** MOCUS that additionally prunes on per-gate probability estimates
-          (commercial-solver behaviour; can drop borderline cutsets on
-          heavily shared DAGs but is far faster on event-tree-shaped
-          models) *)
-  | Bdd_engine
-      (** compile to a BDD, extract the minimal-solutions ZDD, enumerate
-          only cutsets above the cutoff (sound; memory-bound instead of
-          time-bound) *)
+      (** the paper's MOCUS (Section IV-B) with its basics-only cutoff —
+          never loses a cutset above the cutoff; kept as the reference
+          algorithm and as the oracle the ZDD engine is checked against.
+          Its pruned mass is an upper bound, and a resource limit leaves a
+          sound partial cutset list. *)
   | Zdd_engine
-      (** the modular ZDD cutset engine ({!Zdd_engine.run}): per independent
-          module, compile to a BDD, extract the minimal-solutions ZDD and
-          quantify by recursive weighted counting without materializing the
-          cutset list. The mass dropped by the cutoff and order bounds is
-          accounted {e exactly} (total weighted count minus emitted mass),
-          so — unlike [Bdd_engine] — the certified interval stays
-          non-vacuous: when nothing else degrades its width is bounded by
-          the summed solver epsilons plus the (exact) residual. *)
-  | Auto
-      (** pick per model from structural statistics (see {!resolve_engine}):
-          translated trigger logic or very wide modules fall back to
-          [Mocus_sound]; everything else gets [Zdd_engine] *)
+      (** the modular ZDD cutset engine ({!Zdd_engine.run}), the default:
+          per independent module, compile to a BDD, extract the
+          minimal-solutions ZDD and quantify by recursive weighted counting
+          without materializing the cutset list. The mass dropped by the
+          cutoff and order bounds is accounted {e exactly} (total weighted
+          count minus emitted mass): when nothing else degrades, the
+          interval's width is bounded by the summed solver epsilons plus
+          the (exact) residual. *)
 
 type options = {
   horizon : float;  (** analysis horizon [t], e.g. 24 hours *)
@@ -70,22 +62,15 @@ type options = {
 
 val default_options : options
 (** horizon 24.0, cutoff 1e-15, epsilon 1e-12, one million product states,
-    no order bound, [Mocus_sound], one domain, no deadline or memory
-    ceiling. *)
+    no order bound, [Zdd_engine], one domain, no deadline or memory
+    ceiling. Its [engine] is the one default engine of the CLI, the wire
+    protocol, {!static_rare_event} and the dynamization ranking. *)
+
+val engines : engine list
+(** Every engine, in the order the CLI lists them. *)
 
 val engine_name : engine -> string
-(** The CLI spelling: ["mocus"], ["mocus-aggressive"], ["bdd"], ["zdd"],
-    ["auto"]. *)
-
-val resolve_engine : engine -> Fault_tree.t -> engine
-(** Resolve [Auto] against a (translated) static tree; concrete engines
-    return themselves. [Auto] falls back to [Mocus_sound] when the tree
-    contains translated trigger gates (["<basic>@trig"] — sub-models the
-    ZDD path cannot express soundly) or when some independent module's
-    effective width (basic events + nested-module pseudo-variables, with
-    atleast gates weighted in) exceeds an internal bound beyond which BDD
-    compilation risks dwarfing MOCUS's anytime behaviour; otherwise it
-    picks [Zdd_engine]. *)
+(** The CLI and wire spelling: ["mocus"] or ["zdd"]. *)
 
 type cutset_info = {
   cutset : Cutset.t;
@@ -111,18 +96,17 @@ type cutset_info = {
           this cutset raised and was contained. [None] for an exact solve.
           Always set when [used_fallback]. *)
   engine : engine;
-      (** provenance: the (resolved) engine whose generation phase produced
-          this cutset — always concrete, never [Auto] *)
+      (** provenance: the engine whose generation phase produced this
+          cutset *)
 }
 
 type error_budget = {
   pruned_mass : float;
-      (** mass discarded during generation. For the MOCUS engines: an upper
+      (** mass discarded during generation. For [Mocus_sound]: an upper
           bound on the union probability of all cutsets refined from
           branches pruned by the cutoff. For [Zdd_engine]: the {e exact}
           rare-event mass of the minimal cutsets dropped by the cutoff and
-          order bounds (total weighted count minus emitted mass). 0 for
-          [Bdd_engine], which cannot count what it drops — see [vacuous]. *)
+          order bounds (total weighted count minus emitted mass). *)
   below_cutoff_mass : float;
       (** mass of quantified cutsets excluded from [total] by the relevance
           filter [p~(C) > cutoff] *)
@@ -144,19 +128,17 @@ type error_budget = {
           budget cannot account for all discarded mass and [upper] degrades
           to [max 1 total]. *)
   vacuous : bool;
-      (** the interval is trivial: cutset generation was truncated by a
-          resource limit, or the BDD engine dropped below-cutoff cutsets
-          without counting their mass. Never set for [Zdd_engine] unless
-          generation was truncated, since its residual accounting is
-          exact. *)
+      (** the interval is trivial: cutset generation was truncated
+          ([generation.truncated]; a ZDD compilation stopped by a resource
+          limit), so the dropped mass is unaccounted. *)
 }
 
 type degradation = {
   generation_limit : Sdft_util.Guard.reason option;
       (** cutset generation was stopped early by a resource limit. For the
-          MOCUS engines the unexplored branch mass was folded into
+          MOCUS engine the unexplored branch mass was folded into
           [budget.pruned_mass], so the certified interval stays sound {e
-          and} informative; for the BDD engine nothing can be salvaged and
+          and} informative; for the ZDD engine nothing can be salvaged and
           the budget is vacuous. *)
   degraded_cutsets : (Sdft_util.Guard.reason * int) list;
       (** how many cutsets fell back to the worst-case bound, per reason
@@ -172,8 +154,7 @@ type result = {
           reused by the importance functions so numerator and denominator
           agree *)
   engine_used : engine;
-      (** the concrete engine generation ran with ([Auto] resolved against
-          the translated tree — see {!resolve_engine}) *)
+      (** the engine generation ran with ([options.engine]) *)
   cutsets : cutset_info list;  (** sorted by decreasing probability *)
   n_cutsets : int;
   n_dynamic_cutsets : int;  (** cutsets needing Markov analysis *)
@@ -189,7 +170,7 @@ type result = {
   mcs_generation_seconds : float;
   quantification_seconds : float;
   generation : Mocus.result;
-      (** cutset-generation statistics (synthesised for the BDD engine) *)
+      (** cutset-generation statistics (synthesised for the ZDD engine) *)
   translation : Sdft_translate.result;
 }
 
@@ -300,12 +281,11 @@ val static_rare_event :
 val generate_cutsets :
   ?cutoff:float -> ?max_order:int option -> ?guard:Sdft_util.Guard.t ->
   ?obs:Sdft_util.Obs.t -> engine -> Fault_tree.t -> Mocus.result
-(** Run the chosen cutset engine on a static tree ([Auto] is resolved
-    first). A tripped [guard] never raises: the MOCUS engines return their
-    accounted partial result (see {!Mocus.run}); the BDD and ZDD engines
-    return an empty result with [truncated] and [limit_hit] set. For
-    [Zdd_engine] the returned [pruned_mass] is the exact residual mass and
-    [generated]/[pruned_by_cutoff] count {e all} minimal cutsets
+(** Run the chosen cutset engine on a static tree. A tripped [guard] never
+    raises: MOCUS returns its accounted partial result (see {!Mocus.run});
+    the ZDD engine returns an empty result with [truncated] and [limit_hit]
+    set. For [Zdd_engine] the returned [pruned_mass] is the exact residual
+    mass and [generated]/[pruned_by_cutoff] count {e all} minimal cutsets
     (saturating at [max_int]). *)
 
 val dynamic_histogram : result -> Sdft_util.Histogram.t

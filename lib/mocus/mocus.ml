@@ -38,16 +38,9 @@ type options = {
   cutoff : float;
   max_order : int option;
   max_cutsets : int option;
-  gate_bound_pruning : bool;
 }
 
-let default_options =
-  {
-    cutoff = 1e-15;
-    max_order = None;
-    max_cutsets = None;
-    gate_bound_pruning = false;
-  }
+let default_options = { cutoff = 1e-15; max_order = None; max_cutsets = None }
 
 type result = {
   cutsets : Cutset.t list;
@@ -71,9 +64,8 @@ type partial = {
 (* Per-gate probability estimate, computed bottom-up: sum for OR, product
    for AND, product of the k largest child estimates for K-of-N. Exact for
    tree-shaped subtrees over independent events; for DAGs with shared
-   events the product rule can under-estimate, which is why pruning with it
-   is optional ("the RiskSpectrum-style heuristic") while the expansion
-   ORDER it induces is always safe. *)
+   events the product rule can under-estimate, so the estimates only steer
+   the expansion ORDER (always safe) and never decide pruning. *)
 let gate_estimates tree =
   let nb = Fault_tree.n_basics tree and ng = Fault_tree.n_gates tree in
   ignore nb;
@@ -169,20 +161,14 @@ let run_inner ~options ~guard ~obs ~h tree =
         Some { p with basics = Int_set.add b p.basics; prob }
     | Fault_tree.G g -> Some { p with gates = Int_set.add g p.gates }
   in
-  let bound p =
-    if not options.gate_bound_pruning then p.prob
-    else Int_set.fold (fun g acc -> acc *. estimate.(g)) p.gates p.prob
-  in
   let admit p =
-    if bound p < options.cutoff || over_order p.basics then begin
+    if p.prob < options.cutoff || over_order p.basics then begin
       incr pruned;
       (* Every cutset refining this partial contains its basics, so the
          probability that the pruned branch contributes a failure is at most
          the basics' product [p.prob] (independent events). The Kahan-summed
          total upper-bounds the union mass dropped by the cutoff and order
-         bounds, and feeds the analysis error budget. Note the mass bound is
-         [p.prob] even under gate-bound pruning, whose tighter [bound p] can
-         under-estimate on shared DAGs and would not be sound here. *)
+         bounds, and feeds the analysis error budget. *)
       Sdft_util.Kahan.add pruned_mass p.prob;
       false
     end

@@ -17,19 +17,10 @@ type options = {
   max_cutsets : int option;
       (** optional safety valve on the number of generated (pre-minimization)
           cutsets; generation stops once reached *)
-  gate_bound_pruning : bool;
-      (** additionally prune partial cutsets whose product of basic-event
-          probabilities {e and} per-gate probability estimates falls below
-          the cutoff. The estimates (sum for OR, product for AND) are exact
-          for independent tree-shaped logic but can under-estimate when the
-          DAG shares events between the branches of an AND, so this mode —
-          the behaviour of commercial MOCUS solvers — may drop borderline
-          cutsets; the sound default uses only the paper's basics-only
-          product. *)
 }
 
 val default_options : options
-(** [cutoff = 1e-15], no order bound, no count bound, sound pruning only. *)
+(** [cutoff = 1e-15], no order bound, no count bound. *)
 
 type result = {
   cutsets : Cutset.t list;  (** minimal cutsets, sorted by (size, lex) *)
@@ -40,11 +31,7 @@ type result = {
           Kahan sum, over every pruned partial cutset, of the probability
           product of its basic events (which bounds the probability that
           {e any} cutset refining the partial fails). Feeds the error budget
-          of {!Sdft_analysis}. A sound bound with the default sound pruning
-          (and for order-pruned partials); with [gate_bound_pruning] the
-          pruning {e decision} uses gate estimates that can drop extra
-          branches, but each dropped branch is still accounted at its sound
-          basics-only product. *)
+          of {!Sdft_analysis}. *)
   truncated : bool;  (** true when [max_cutsets] stopped the search *)
   limit_hit : Sdft_util.Guard.reason option;
       (** a resource guard (or simulated limit) stopped the expansion early.

@@ -38,16 +38,15 @@ type config = {
       (** explicit groups of symmetric redundant events to chain (e.g.
           {!Industrial.run_event_groups}); [None] falls back to grouping by
           equal Fussell-Vesely importance *)
-  cutoff : float;  (** cutoff for the importance-ranking cutset run *)
-  ranking_engine : Sdft_analysis.engine;
-      (** cutset engine used for the importance ranking (default
-          [Bdd_engine]: exact and fast on event-tree-shaped models) *)
+  cutoff : float;
+      (** cutoff for the importance-ranking cutset run, which uses the
+          default engine ([Sdft_analysis.default_options.engine]) *)
   calibration : calibration;  (** default [Mttf] *)
 }
 
 val default_config : config
 (** 10% dynamic, 1% triggered, one phase, no repair, 24h mission, all
-    events, cutoff 1e-15, BDD ranking engine. *)
+    events, cutoff 1e-15. *)
 
 type result = {
   sd : Sdft.t;

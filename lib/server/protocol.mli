@@ -16,7 +16,7 @@
      "idem": "<idempotency key, optional>",
      "op": "analyze" | "ping" | "metrics" | "stats" | "health" | "shutdown",
      "model": "<sdft model text>",            // analyze only
-     "params": {"horizon": 24, "cutoff": 1e-15, "engine": "auto",
+     "params": {"horizon": 24, "cutoff": 1e-15, "engine": "zdd",
                 "domains": 1, "deadline": 0.5, "mem_limit_mb": 512,
                 "max_order": 3},              // all optional
      "failpoints": "cache.lookup=raise@nth:2",  // optional, per-request

@@ -643,9 +643,8 @@ let test_analysis_engines_agree () =
     let options = { Sdft_analysis.default_options with engine } in
     (Sdft_analysis.analyze ~options pumps_sd).Sdft_analysis.total
   in
-  let reference = total Sdft_analysis.Mocus_sound in
-  check_close ~eps:1e-12 "aggressive" reference (total Sdft_analysis.Mocus_aggressive);
-  check_close ~eps:1e-12 "bdd" reference (total Sdft_analysis.Bdd_engine)
+  check_close ~eps:1e-12 "zdd" (total Sdft_analysis.Mocus_sound)
+    (total Sdft_analysis.Zdd_engine)
 
 let test_analysis_fv_respects_cutoff () =
   (* With cutoff 1e-4 only {b,d} survives into [total]; the FV sums must
@@ -767,24 +766,35 @@ let test_budget_pruned_mass_from_generation () =
     && exact <= b.Sdft_analysis.upper +. 1e-12)
 
 let test_budget_vacuous_cases () =
-  (* BDD engine with a nonzero cutoff drops cutsets without counting their
-     mass: the interval must degrade to a marked-vacuous [lower, >=1]. *)
-  let options =
-    { Sdft_analysis.default_options with engine = Sdft_analysis.Bdd_engine }
+  (* Vacuity has one cause: a truncated generation, which leaves mass
+     unaccounted. MOCUS truncates when its cutset-count valve closes... *)
+  let valve =
+    Mocus.run
+      ~options:{ Mocus.default_options with max_cutsets = Some 1 }
+      pumps_tree
   in
+  Alcotest.(check bool) "count valve truncates" true valve.Mocus.truncated;
+  (* ...and the ZDD engine when a limit stops its compilation: the analysis
+     interval must then degrade to a marked-vacuous [lower, >=1]. *)
+  let options = { Sdft_analysis.default_options with deadline = Some 0.0 } in
   let r = Sdft_analysis.analyze ~options pumps_sd in
   let b = r.Sdft_analysis.budget in
-  Alcotest.(check bool) "bdd + cutoff is vacuous" true b.Sdft_analysis.vacuous;
+  Alcotest.(check bool) "generation truncated" true
+    r.Sdft_analysis.generation.Mocus.truncated;
+  Alcotest.(check bool) "truncated generation is vacuous" true
+    b.Sdft_analysis.vacuous;
   Alcotest.(check bool) "vacuous upper covers everything" true
     (b.Sdft_analysis.upper >= 1.0);
-  (* With cutoff 0 and no order bound the BDD enumeration is exhaustive and
-     the certificate is meaningful again. *)
-  let options0 =
-    { options with cutoff = 0.0 }
-  in
-  let r0 = Sdft_analysis.analyze ~options:options0 pumps_sd in
-  Alcotest.(check bool) "exhaustive bdd not vacuous" false
-    r0.Sdft_analysis.budget.Sdft_analysis.vacuous
+  (* A cutoff alone never makes the interval vacuous: both engines account
+     for what it drops. *)
+  List.iter
+    (fun engine ->
+      let options = { Sdft_analysis.default_options with engine } in
+      let r = Sdft_analysis.analyze ~options pumps_sd in
+      Alcotest.(check bool)
+        (Sdft_analysis.engine_name engine ^ " + cutoff not vacuous")
+        false r.Sdft_analysis.budget.Sdft_analysis.vacuous)
+    Sdft_analysis.engines
 
 let test_budget_fallback_excluded_from_lower () =
   (* Starve the state bound so every dynamic cutset falls back to its
@@ -902,7 +912,7 @@ let test_cache_industrial_sweep_matches_uncached () =
       (fun horizon ->
         {
           Sdft_analysis.default_options with
-          engine = Sdft_analysis.Bdd_engine;
+          engine = Sdft_analysis.Zdd_engine;
           horizon;
         })
       [ 8.0; 24.0; 72.0 ]

@@ -193,6 +193,12 @@ let test_mocus_limit_folds_stack () =
 
 (* Analysis degradation ladder *)
 
+(* The [mocus.expand] failpoint site and MOCUS's sound partial results
+   under a limit only exist on the MOCUS engine, so the tests of those
+   paths pin it instead of inheriting the default engine. *)
+let mocus_options =
+  { Sdft_analysis.default_options with engine = Sdft_analysis.Mocus_sound }
+
 let interval_contains r exact =
   let lower = r.Sdft_analysis.budget.Sdft_analysis.lower in
   let upper = r.Sdft_analysis.budget.Sdft_analysis.upper in
@@ -202,9 +208,9 @@ let interval_contains r exact =
 let test_analyze_expired_deadline () =
   let sd = Pumps.sd_tree () in
   let exact = Sdft_product.solve sd ~horizon:24.0 in
-  let options =
-    { Sdft_analysis.default_options with deadline = Some 0.0 }
-  in
+  (* MOCUS finishes this small tree before its amortized guard probe fires,
+     so the expired deadline reaches the quantification phase. *)
+  let options = { mocus_options with deadline = Some 0.0 } in
   let r = Sdft_analysis.analyze ~options sd in
   Alcotest.(check bool) "degraded" true (Sdft_analysis.degraded r);
   let deadline_fallbacks =
@@ -228,7 +234,7 @@ let test_analyze_generation_limit () =
   let sd = Pumps.sd_tree () in
   let exact = Sdft_product.solve sd ~horizon:24.0 in
   with_failpoints "mocus.expand=deadline@nth:3" (fun () ->
-      let r = Sdft_analysis.analyze sd in
+      let r = Sdft_analysis.analyze ~options:mocus_options sd in
       Alcotest.(check bool) "generation limit" true
         (r.Sdft_analysis.degradation.Sdft_analysis.generation_limit
         = Some Guard.Deadline);
@@ -278,11 +284,11 @@ let test_analyze_cache_crash_contained () =
 
 let test_delay_failpoints_preserve_results () =
   let sd = Pumps.sd_tree () in
-  let baseline = Sdft_analysis.analyze sd in
+  let baseline = Sdft_analysis.analyze ~options:mocus_options sd in
   with_failpoints
     "mocus.expand=delay:0.0002@nth:3,transient.step=delay:0.0001@nth:2"
     (fun () ->
-      let r = Sdft_analysis.analyze sd in
+      let r = Sdft_analysis.analyze ~options:mocus_options sd in
       (* Delays perturb timing only: every numerical output is bit-identical
          to the undisturbed run. *)
       Alcotest.(check bool) "total" true
@@ -441,7 +447,10 @@ let test_chaos_sweep_kill9_resume () =
 (* Degradation soundness under randomized fault injection: whatever the
    failpoints do to the pipeline, the analysis must terminate and its
    certified interval must still contain the exact product-semantics
-   probability. *)
+   probability. It deliberately runs on the default [Paper] relevant sets,
+   whose dropped trigger paths no budget term covers: 11 of the seeds
+   0..100000 (2270 the first) fail for that reason alone, with or without
+   the failpoints (DESIGN.md, "A precision caveat in Section V-C"). *)
 let prop_degraded_interval_sound =
   QCheck.Test.make ~name:"degraded certified interval contains exact value"
     ~count:30 Gen_sdft.seed_gen (fun seed ->
@@ -454,9 +463,7 @@ let prop_degraded_interval_sound =
           (20 + (seed mod 50))
       in
       with_failpoints spec (fun () ->
-          let options =
-            { Sdft_analysis.default_options with horizon = 3.0 }
-          in
+          let options = { mocus_options with horizon = 3.0 } in
           let r = Sdft_analysis.analyze ~options sd in
           let lower = r.Sdft_analysis.budget.Sdft_analysis.lower in
           let upper = r.Sdft_analysis.budget.Sdft_analysis.upper in

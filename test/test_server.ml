@@ -197,7 +197,7 @@ let qcheck_mutated_frames =
       let line =
         Protocol.analyze_line
           ~id:(Printf.sprintf "m-%d" idx)
-          ~engine:"auto"
+          ~engine:"zdd"
           ~model:(Lazy.force gen_corpus).(idx)
           ()
       in
@@ -224,12 +224,12 @@ let qcheck_truncated_frames =
 
 let params_of_seed seed =
   let rng = Rng.create seed in
-  let engines = [| "mocus"; "mocus-aggressive"; "bdd"; "zdd"; "auto" |] in
+  let engines = [| "mocus"; "zdd" |] in
   let horizon = 0.5 +. (Rng.float rng *. 100.0) in
   let cutoff = Rng.float rng *. 1e-9 in
   let domains = 1 + Rng.int rng 8 in
   let max_order = 1 + Rng.int rng 5 in
-  let engine = engines.(Rng.int rng 5) in
+  let engine = engines.(Rng.int rng (Array.length engines)) in
   let verbose = Rng.int rng 2 = 1 in
   (horizon, cutoff, domains, max_order, engine, verbose)
 
@@ -285,6 +285,22 @@ let test_codec_rejections () =
   Alcotest.(check string)
     "unknown engine" "bad_request"
     (code (parse {|{"op":"analyze","model":"x","params":{"engine":"gpu"}}|}));
+  (* Engine names that no longer exist are rejected, not aliased, and the
+     message names the engines that do. *)
+  List.iter
+    (fun name ->
+      match
+        Protocol.parse_request ~max_bytes:256
+          (Printf.sprintf
+             {|{"op":"analyze","model":"x","params":{"engine":%S}}|} name)
+      with
+      | Error (_, e) ->
+        Alcotest.(check string) name "bad_request"
+          (Protocol.error_code_name e.Protocol.code);
+        Alcotest.(check bool) "message lists the engines" true
+          (contains e.Protocol.message "(expected mocus, zdd)")
+      | Ok _ -> Alcotest.failf "engine %S unexpectedly accepted" name)
+    [ "bdd"; "auto"; "mocus-aggressive" ];
   Alcotest.(check string)
     "type-confused horizon" "bad_request"
     (code (parse {|{"op":"analyze","model":"x","params":{"horizon":"soon"}}|}));
@@ -367,7 +383,7 @@ let soak_lines () =
   let pumps = Lazy.force pumps_text
   and bwr = Lazy.force bwr_text
   and gens = Lazy.force gen_corpus in
-  let engines = [| "mocus"; "zdd"; "auto" |] in
+  let engines = [| "mocus"; "zdd" |] in
   let horizons = [| 8.0; 24.0 |] in
   Array.init 8 (fun c ->
       Array.init 50 (fun j ->
@@ -383,7 +399,7 @@ let soak_lines () =
           Protocol.analyze_line
             ~id:(Printf.sprintf "c%d-r%d" c j)
             ~client:(Printf.sprintf "client-%d" c)
-            ~engine:engines.(j mod 3)
+            ~engine:engines.(j / 2 mod 2)
             ~horizon:horizons.(j mod 2)
             ?failpoints ~model ()))
 

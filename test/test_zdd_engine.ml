@@ -199,36 +199,72 @@ let test_deadline_degrades () =
     && exact.Sdft_analysis.total
        <= r.Sdft_analysis.budget.Sdft_analysis.upper)
 
-let test_module_stats () =
-  let tree = Pumps.static_tree () in
-  let stats = Zdd_engine.module_stats tree in
-  Alcotest.(check bool) "top gate is a module" true
-    (List.exists
-       (fun s -> s.Zdd_engine.ms_gate = Fault_tree.top tree)
-       stats);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "cut width positive" true
-        (s.Zdd_engine.ms_basics + s.Zdd_engine.ms_inner_modules > 0))
-    stats
-
-let test_auto_resolution () =
-  (* Static, small: auto picks the ZDD engine. *)
-  let static_tree = Pumps.static_tree () in
-  Alcotest.(check bool) "static resolves to zdd" true
-    (Sdft_analysis.resolve_engine Sdft_analysis.Auto static_tree
-    = Sdft_analysis.Zdd_engine);
-  (* Translated triggered model: the @trig gates send auto to MOCUS. *)
-  let sd = Pumps.sd_tree () in
-  let translation = Sdft_translate.translate sd ~horizon:24.0 in
-  Alcotest.(check bool) "triggered resolves to mocus" true
-    (Sdft_analysis.resolve_engine Sdft_analysis.Auto
-       translation.Sdft_translate.static_tree
-    = Sdft_analysis.Mocus_sound);
-  (* Concrete engines resolve to themselves. *)
-  Alcotest.(check bool) "mocus fixed" true
-    (Sdft_analysis.resolve_engine Sdft_analysis.Mocus_sound static_tree
-    = Sdft_analysis.Mocus_sound)
+(* The differential behind ZDD being the one default engine: on translated
+   SD trees with trigger logic (the "<basic>@trig" AND gates the
+   translation synthesizes), both engines generate the same cutset family,
+   so every cutset gets the same [p~(C)] and the totals agree; the ZDD
+   interval is no wider than MOCUS's, and with the exact [All_events]
+   relevant sets it contains the product-semantics value. The paper's
+   reduced relevant sets are left out of the containment check: they can
+   drop trigger paths, which the certified interval does not account for
+   (a defect of the budget shared by both engines). *)
+let prop_triggered_zdd_matches_mocus =
+  QCheck.Test.make ~name:"triggered: zdd = mocus" ~count:100
+    (QCheck.make
+       QCheck.Gen.(pair (0 -- 100000) (oneofl [ 1e-15; 1e-6; 1e-4 ])))
+    (fun (seed, cutoff) ->
+      let sd =
+        Gen_sdft.sd ~n_basics:7 ~n_gates:6 ~n_dynamic:3 ~n_triggers:2 seed
+      in
+      QCheck.assume (Sdft.trigger_edges sd <> []);
+      let horizon = 8.0 in
+      match Sdft_product.solve sd ~horizon with
+      | exception Sdft_product.Too_many_states _ -> QCheck.assume_fail ()
+      | exact ->
+        let run engine =
+          Sdft_analysis.analyze
+            ~options:
+              {
+                Sdft_analysis.default_options with
+                engine;
+                cutoff;
+                horizon;
+                rel_rule = Cutset_model.All_events;
+              }
+            sd
+        in
+        let m = run Sdft_analysis.Mocus_sound in
+        let z = run Sdft_analysis.Zdd_engine in
+        let quantified r =
+          List.map
+            (fun (i : Sdft_analysis.cutset_info) -> (i.cutset, i.probability))
+            r.Sdft_analysis.cutsets
+        in
+        let bz = z.Sdft_analysis.budget
+        and bm = m.Sdft_analysis.budget in
+        let check what ok =
+          if not ok then
+            QCheck.Test.fail_reportf
+              "%s (mocus [%h, %h], zdd [%h, %h], exact %h)" what
+              bm.Sdft_analysis.lower bm.Sdft_analysis.upper
+              bz.Sdft_analysis.lower bz.Sdft_analysis.upper exact
+        in
+        check "same cutsets and p~" (quantified m = quantified z);
+        check "same total"
+          (close m.Sdft_analysis.total z.Sdft_analysis.total);
+        check "zdd not vacuous" (not bz.Sdft_analysis.vacuous);
+        (* Up to rounding (the ZDD residual is a difference of two sums).
+           Not a theorem: a pruned MOCUS partial is charged its basics'
+           product once, while the ZDD residual sums every dropped cutset
+           refining it, which can be more when the pending gates are ORs of
+           likely events. The generator's probabilities stay below 0.2, and
+           on its models the ZDD interval is never the wider one. *)
+        check "zdd upper <= mocus upper"
+          (bz.Sdft_analysis.upper <= bm.Sdft_analysis.upper +. 1e-15);
+        check "zdd interval contains exact"
+          (bz.Sdft_analysis.lower <= exact +. 1e-12
+          && exact <= bz.Sdft_analysis.upper +. 1e-12);
+        true)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -250,9 +286,6 @@ let () =
             test_dangling_gate_regression;
           Alcotest.test_case "deadline degrades soundly" `Quick
             test_deadline_degrades;
-          Alcotest.test_case "module stats" `Quick test_module_stats;
-          Alcotest.test_case "auto engine resolution" `Quick
-            test_auto_resolution;
         ]
-        @ qc [ prop_analyze_equivalence ] );
+        @ qc [ prop_analyze_equivalence; prop_triggered_zdd_matches_mocus ] );
     ]
